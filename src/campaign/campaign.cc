@@ -1,6 +1,5 @@
 #include "campaign/campaign.hh"
 
-#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -44,31 +43,6 @@ writeText(const std::string &path, const std::string &text)
     out << text;
     if (!out.flush())
         fatal("campaign merge: failed writing '", path, "'");
-}
-
-/** Pin the calling (child) process to the interleaved CPU set of one
- *  launcher slot: cpu % stride == worker % stride, stride = the
- *  concurrent worker count clamped to the online CPU count so every
- *  worker keeps at least one CPU. Best-effort: failure warns. */
-void
-pinToWorkerSet(std::size_t worker, std::size_t workers)
-{
-    long online = ::sysconf(_SC_NPROCESSORS_ONLN);
-    if (online < 1 || workers == 0)
-        return;
-    std::size_t stride = std::min(workers, (std::size_t)online);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (long cpu = 0; cpu < online && cpu < CPU_SETSIZE; ++cpu) {
-        if ((std::size_t)cpu % stride == worker % stride)
-            CPU_SET(cpu, &set);
-    }
-    if (CPU_COUNT(&set) == 0)
-        return;
-    if (::sched_setaffinity(0, sizeof(set), &set) != 0) {
-        warn("campaign launch: sched_setaffinity failed: ",
-             std::strerror(errno));
-    }
 }
 
 } // namespace
@@ -426,8 +400,6 @@ launchCampaign(const std::string &dir, const LaunchOptions &options,
                 continue;
             }
             if (pid == 0) {
-                if (options.pinCpus)
-                    pinToWorkerSet(shard, workers);
                 int rc = 1;
                 try {
                     rc = worker(shard);

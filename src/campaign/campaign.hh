@@ -18,8 +18,7 @@
  *                  artifact consistency) and splice the shard
  *                  journals/artifacts into <dir>/merged
  *   campaignStatus read-only progress snapshot
- *   launchCampaign single-node driver: forks N local workers
- *                  (optionally pinned round-robin to CPU sets) and
+ *   launchCampaign single-node driver: forks N local workers and
  *                  retries crashed shards until done or out of
  *                  attempts
  */
@@ -121,10 +120,6 @@ struct LaunchOptions
     /** Give up on a shard once its cumulative attempt counter (which
      *  survives across launcher invocations) reaches this. */
     std::uint64_t maxAttempts = 3;
-    /** Pin each worker to an interleaved CPU set (cpu % workers ==
-     *  worker % workers), HPCAT-style, so co-resident workers don't
-     *  migrate onto each other's cores. */
-    bool pinCpus = false;
 };
 
 /** Runs one shard inside a forked child; returns the child's exit

@@ -63,14 +63,15 @@ checkVersions(const JsonValue &doc, const std::string &context)
 {
     if (!doc.isObject())
         fatal(context, ": document must be a JSON object");
-    if (!hasNumber(doc, "format") ||
-        (int)doc.at("format").asNumber() != store::kFormatVersion) {
+    std::uint64_t format = 0, campaignFormat = 0;
+    if (!hasNumber(doc, "format") || !doc.at("format").asCount(format) ||
+        format != store::kFormatVersion) {
         fatal(context, ": \"format\" must be the store format version ",
               store::kFormatVersion, " this build reads");
     }
     if (!hasNumber(doc, "campaign_format") ||
-        (int)doc.at("campaign_format").asNumber() !=
-            kCampaignFormatVersion) {
+        !doc.at("campaign_format").asCount(campaignFormat) ||
+        campaignFormat != kCampaignFormatVersion) {
         fatal(context, ": \"campaign_format\" must be ",
               kCampaignFormatVersion);
     }
@@ -126,16 +127,17 @@ CampaignManifest::fromJson(const JsonValue &doc,
     checkVersions(doc, context);
     CampaignManifest m;
     m.fingerprint = doc.at("fingerprint").asString();
+    std::uint64_t shardCount = 0, granularity = 0;
     if (!hasNumber(doc, "shard_count") ||
-        doc.at("shard_count").asNumber() < 1) {
+        !doc.at("shard_count").asCount(shardCount) || shardCount < 1) {
         fatal(context, ": \"shard_count\" must be a positive integer");
     }
-    m.shardCount = (std::size_t)doc.at("shard_count").asNumber();
+    m.shardCount = (std::size_t)shardCount;
     if (!hasNumber(doc, "granularity") ||
-        doc.at("granularity").asNumber() < 1) {
+        !doc.at("granularity").asCount(granularity) || granularity < 1) {
         fatal(context, ": \"granularity\" must be a positive integer");
     }
-    m.granularity = (std::size_t)doc.at("granularity").asNumber();
+    m.granularity = (std::size_t)granularity;
     if (!doc.has("shards") || !doc.at("shards").isArray())
         fatal(context, ": \"shards\" must be the shard table array");
     const auto &table = doc.at("shards").asArray();
@@ -146,8 +148,9 @@ CampaignManifest::fromJson(const JsonValue &doc,
     for (std::size_t k = 0; k < table.size(); ++k) {
         const JsonValue &row = table[k];
         ShardEntry entry;
-        if (!hasNumber(row, "id") ||
-            (std::size_t)row.at("id").asNumber() != k) {
+        std::uint64_t id = 0;
+        if (!hasNumber(row, "id") || !row.at("id").asCount(id) ||
+            id != k) {
             fatal(context, ": shard table entry ", k,
                   " must carry \"id\": ", k);
         }
@@ -162,12 +165,10 @@ CampaignManifest::fromJson(const JsonValue &doc,
         }
         entry.status = row.at("status").asString();
         if (!hasNumber(row, "attempts") ||
-            row.at("attempts").asNumber() < 0) {
+            !row.at("attempts").asCount(entry.attempts)) {
             fatal(context, ": shard ", k,
                   " \"attempts\" must be a non-negative integer");
         }
-        entry.attempts =
-            (std::uint64_t)row.at("attempts").asNumber();
         m.shards.push_back(std::move(entry));
     }
     return m;
@@ -214,8 +215,9 @@ loadShardState(const std::string &shardDir,
     if (!hasString(doc, "fingerprint") ||
         doc.at("fingerprint").asString() != fingerprint)
         return state;
-    if (hasNumber(doc, "attempts") && doc.at("attempts").asNumber() >= 0)
-        state.attempts = (std::uint64_t)doc.at("attempts").asNumber();
+    // A malformed count leaves attempts at 0, like a missing one.
+    if (hasNumber(doc, "attempts"))
+        doc.at("attempts").asCount(state.attempts);
     if (hasBool(doc, "completed"))
         state.completed = doc.at("completed").asBool();
     return state;

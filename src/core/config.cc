@@ -45,6 +45,21 @@ resolveCellReference(const std::string &reference)
     return mlc ? cell.makeMlc() : cell;
 }
 
+const std::set<std::string> &
+knownConfigKeys()
+{
+    static const std::set<std::string> keys = {
+        "experiment",  "cells",       "capacities_mib",
+        "word_bits",   "node_nm",     "sram_node_nm",
+        "jobs",        "out_dir",     "resume",
+        "batch",       "targets",     "traffic",
+        "workloads",   "workload",    "reliability",
+        "ecc",         "constraints", "pareto",
+        "top_k",       "output_csv",  "campaign",
+    };
+    return keys;
+}
+
 namespace {
 
 MemCell
@@ -195,6 +210,12 @@ loadExperiment(const JsonValue &doc)
 {
     ExperimentConfig config;
     config.name = doc.stringOr("experiment", "experiment");
+    for (const auto &key : doc.memberNames()) {
+        if (!knownConfigKeys().count(key)) {
+            fatal("config '", config.name, "': unknown top-level key '",
+                  key, "'");
+        }
+    }
 
     // Cells: names, "study-set", or inline custom definitions.
     CellCatalog catalog;
@@ -245,22 +266,13 @@ loadExperiment(const JsonValue &doc)
 
     // Batched evaluation: on unless "batch": false (or the CLI's
     // --no-batch) asks for the per-point reference path. Either path
-    // produces bit-identical results; "batch_size" only tunes the
-    // scheduling granularity, <= 0 meaning "pick a sensible default".
+    // produces bit-identical results.
     config.sweep.batch = doc.boolOr("batch", true);
-    double batchSize = doc.numberOr("batch_size", 0.0);
-    if (batchSize != (double)(int)batchSize || batchSize < 0.0 ||
-        batchSize > 1e9) {
-        fatal("config '", config.name,
-              "': \"batch_size\" must be an integer in [0, 1e9], got ",
-              batchSize);
-    }
-    config.sweep.batchSize = (int)batchSize;
 
     // Campaign block: how many shards `campaign plan` splits this
     // sweep into when --shards isn't given on the command line. The
     // shard count never affects result bytes (the merge is canonical),
-    // so like jobs/batch_size it lives outside the sweep fingerprint.
+    // so like jobs it lives outside the sweep fingerprint.
     if (doc.has("campaign")) {
         const JsonValue &c = doc.at("campaign");
         if (!c.isObject() || !c.has("shards") ||
@@ -274,12 +286,11 @@ loadExperiment(const JsonValue &doc)
                       "': unknown \"campaign\" key \"", key, "\"");
             }
         }
-        double shards = c.at("shards").asNumber();
-        if (shards != (double)(int)shards || shards < 1.0 ||
-            shards > 4096.0) {
+        std::uint64_t shards = 0;
+        if (!c.at("shards").asCount(shards, 4096) || shards < 1) {
             fatal("config '", config.name, "': \"campaign\" "
                   "\"shards\" must be an integer in [1, 4096], got ",
-                  shards);
+                  c.at("shards").dump(0));
         }
         config.campaignShards = (std::size_t)shards;
     }
@@ -349,46 +360,21 @@ loadExperiment(const JsonValue &doc)
         config.showReliability = true;
     }
 
-    // Constraints: either the declarative clause array
-    // (["total_power<0.5", {"metric": ..., "op": ..., "bound": ...}])
-    // or the legacy fixed-field object, adapted onto the same
-    // declarative layer. Both validate metric names at load time, so
-    // bad filters fail before any simulation runs.
+    // Constraints: a declarative clause array
+    // (["total_power<0.5", {"metric": ..., "op": ..., "bound": ...}]),
+    // metric names validated at load time so bad filters fail before
+    // any simulation runs.
     if (doc.has("constraints")) {
         const JsonValue &c = doc.at("constraints");
-        config.applyConstraints = true;
-        if (c.isArray()) {
-            config.constraints = metrics::ConstraintSet::fromJson(
-                c, "config '" + config.name + "'");
-        } else if (!c.isObject()) {
+        if (!c.isArray()) {
             fatal("config '", config.name, "': \"constraints\" must "
-                  "be an array of clauses or a legacy fixed-field "
-                  "object");
-        } else {
-            Constraints legacy;
-            legacy.maxLatencyLoad = c.numberOr("max_latency_load", 1.0);
-            legacy.maxPowerWatts = c.numberOr("max_power_w", -1.0);
-            legacy.maxAreaM2 =
-                c.numberOr("max_area_mm2", -1.0) > 0.0
-                    ? c.at("max_area_mm2").asNumber() * 1e-6 : -1.0;
-            if (c.has("min_lifetime_years")) {
-                legacy.minLifetimeSec =
-                    c.at("min_lifetime_years").asNumber() * 365.0 *
-                    86400.0;
-            }
-            legacy.maxReadLatency =
-                c.numberOr("max_read_latency_ns", -1.0) > 0.0
-                    ? c.at("max_read_latency_ns").asNumber() * 1e-9
-                    : -1.0;
-            legacy.maxWriteLatency =
-                c.numberOr("max_write_latency_ns", -1.0) > 0.0
-                    ? c.at("max_write_latency_ns").asNumber() * 1e-9
-                    : -1.0;
-            legacy.requireBandwidth = c.boolOr("require_bandwidth",
-                                               true);
-            config.constraints =
-                metrics::ConstraintSet::fromLegacy(legacy);
+                  "be an array of clauses such as "
+                  "[\"latency_load<=1.0\", \"meets_read_bw>=1\"] "
+                  "(the fixed-field object form is no longer read)");
         }
+        config.applyConstraints = true;
+        config.constraints = metrics::ConstraintSet::fromJson(
+            c, "config '" + config.name + "'");
     }
 
     // Pareto front and top-k refinement over named metrics.

@@ -4,15 +4,18 @@
  * release's `python run.py config/<study>.json` interface.
  *
  * A config file names the cells, capacities, optimization targets,
- * traffic patterns, and constraints of a design sweep; loadExperiment
- * turns it into a SweepConfig + Constraints and runExperiment produces
- * the combined results table (and optional CSV).
+ * traffic patterns, and constraint clauses of a design sweep;
+ * loadExperiment turns it into a SweepConfig plus a refine pipeline
+ * and runExperiment produces the combined results table (and optional
+ * CSV). Unknown top-level keys are rejected, so a typo'd or retired
+ * key fails instead of being ignored.
  */
 
 #ifndef NVMEXP_CORE_CONFIG_HH
 #define NVMEXP_CORE_CONFIG_HH
 
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,11 +36,9 @@ struct ExperimentConfig
      * stage), applied in order after the sweep: constraint clauses,
      * then the Pareto front over `paretoMetrics` (when non-empty),
      * then the `topK` best rows under `topMetric` (when set). The
-     * JSON "constraints" key accepts both the declarative clause
-     * array and the legacy fixed-field object (adapted via
-     * metrics::ConstraintSet::fromLegacy); "pareto" and "top_k" have
-     * no legacy form. The CLI's --filter/--pareto/--top flags layer
-     * onto the same fields.
+     * JSON "constraints" key is an array of clauses ("metric<=bound"
+     * strings or {"metric", "op", "bound"} objects). The CLI's
+     * --filter/--pareto/--top flags layer onto the same fields.
      */
     metrics::ConstraintSet constraints;
     bool applyConstraints = false;
@@ -63,6 +64,10 @@ struct ExperimentConfig
  * unknown references.
  */
 MemCell resolveCellReference(const std::string &reference);
+
+/** The top-level keys a config may carry. loadExperiment rejects any
+ *  other key; nvmexplorer_lint reports against the same list. */
+const std::set<std::string> &knownConfigKeys();
 
 /** Build an ExperimentConfig from a parsed JSON document. */
 ExperimentConfig loadExperiment(const JsonValue &doc);

@@ -247,13 +247,11 @@ ParallelSweepRunner::characterizeWithStore(
 std::vector<ArrayResult>
 ParallelSweepRunner::characterize(const SweepConfig &config) const
 {
-    lastStoreStats_ = store::StoreStats{};
     if (config.outDir.empty())
         return characterizeWithStore(config, nullptr);
 
     store::ResultStore resultStore(config.outDir, config.cacheDir);
     auto arrays = characterizeWithStore(config, &resultStore);
-    lastStoreStats_ = resultStore.stats();
     resultStore.writeStats();
     return arrays;
 }
@@ -275,7 +273,7 @@ ParallelSweepRunner::evaluateAll(
     auto evaluators = reliabilityEvaluators(specs);
     BatchEvalContext context(arrays, traffics, evaluators);
     std::vector<EvalResult> results(context.points());
-    shardBatches(context, 0, results, nullptr, {});
+    shardBatches(context, results, nullptr, {});
     return results;
 }
 
@@ -286,10 +284,24 @@ ParallelSweepRunner::evaluateAllScalar(
     const std::vector<reliability::ReliabilitySpec> &specs) const
 {
     auto evaluators = reliabilityEvaluators(specs);
-    const std::size_t nspecs = evaluators.size();
     std::vector<EvalResult> results(arrays.size() * traffics.size() *
-                                    nspecs);
+                                    evaluators.size());
+    shardScalar(arrays, traffics, evaluators, results, nullptr, {});
+    return results;
+}
+
+void
+ParallelSweepRunner::shardScalar(
+    const std::vector<ArrayResult> &arrays,
+    const std::vector<TrafficPattern> &traffics,
+    const std::vector<reliability::ReliabilityEvaluator> &evaluators,
+    std::vector<EvalResult> &results, const std::vector<char> *todo,
+    const std::function<void(std::size_t)> &onSlot) const
+{
+    const std::size_t nspecs = evaluators.size();
     shard(results.size(), [&](std::size_t idx) {
+        if (todo && !(*todo)[idx])
+            return;
         const ArrayResult &array =
             arrays[idx / (traffics.size() * nspecs)];
         const TrafficPattern &traffic =
@@ -297,21 +309,21 @@ ParallelSweepRunner::evaluateAllScalar(
         results[idx] = evaluate(array, traffic);
         results[idx].reliability =
             evaluators[idx % nspecs].evaluate(array);
+        if (onSlot)
+            onSlot(idx);
     });
-    return results;
 }
 
 void
 ParallelSweepRunner::shardBatches(
-    const BatchEvalContext &context, int batchSize,
-    std::vector<EvalResult> &results, const std::vector<char> *todo,
+    const BatchEvalContext &context, std::vector<EvalResult> &results,
+    const std::vector<char> *todo,
     const std::function<void(std::size_t)> &onSlot) const
 {
     std::size_t slots = context.points();
     if (slots == 0)
         return;
-    std::size_t size = batchSize > 0 ? (std::size_t)batchSize
-                                     : context.defaultBatchSize(jobs_);
+    std::size_t size = context.defaultBatchSize(jobs_);
     std::size_t batches = (slots + size - 1) / size;
     shard(batches, [&](std::size_t b) {
         context.evaluateRange(b * size,
@@ -332,18 +344,13 @@ ParallelSweepRunner::run(const SweepConfig &rawConfig) const
         expandSweepWorkloads(rawConfig, expandedStorage);
     if (config.traffics.empty())
         fatal("sweep has no traffic patterns configured");
-    lastStoreStats_ = store::StoreStats{};
     if (config.outDir.empty()) {
         auto arrays = characterizeWithStore(config, nullptr);
         if (!config.batch) {
             return evaluateAllScalar(arrays, config.traffics,
                                      config.reliability);
         }
-        auto evaluators = reliabilityEvaluators(config.reliability);
-        BatchEvalContext context(arrays, config.traffics, evaluators);
-        std::vector<EvalResult> results(context.points());
-        shardBatches(context, config.batchSize, results, nullptr, {});
-        return results;
+        return evaluateAll(arrays, config.traffics, config.reliability);
     }
     return runStoreBacked(config, {});
 }
@@ -360,7 +367,6 @@ ParallelSweepRunner::runSelected(
         fatal("sweep has no traffic patterns configured");
     if (config.outDir.empty())
         fatal("runSelected needs a store directory (outDir)");
-    lastStoreStats_ = store::StoreStats{};
     return runStoreBacked(config, owned);
 }
 
@@ -373,8 +379,8 @@ ParallelSweepRunner::runStoreBacked(
     auto arrays = characterizeWithStore(config, &resultStore);
 
     auto evaluators = reliabilityEvaluators(config.reliability);
-    const std::size_t nspecs = evaluators.size();
-    std::size_t slots = arrays.size() * config.traffics.size() * nspecs;
+    std::size_t slots =
+        arrays.size() * config.traffics.size() * evaluators.size();
     // The journal always claims the FULL slot count, even for a shard
     // run that owns a subset: a campaign merge stitches shard journals
     // into one whose header is byte-identical to a single process's.
@@ -384,8 +390,8 @@ ParallelSweepRunner::runStoreBacked(
     // Index-addressed slots: replayed checkpoint entries and freshly
     // evaluated ones land in the same serial-order positions, so the
     // output is byte-identical to an uninterrupted run — batched or
-    // not, at any batch size, under any worker count. Slots outside
-    // the owned selection are simply never evaluated or journaled.
+    // not, under any worker count. Slots outside the owned selection
+    // are simply never evaluated or journaled.
     std::vector<EvalResult> results(slots);
     std::vector<char> todo(slots, 1);
     if (owned) {
@@ -396,26 +402,15 @@ ParallelSweepRunner::runStoreBacked(
         results[slot] = result;
         todo[slot] = 0;
     }
+    auto journal = [&](std::size_t idx) {
+        resultStore.checkpointSlot(idx, results[idx]);
+    };
     if (config.batch) {
         BatchEvalContext context(arrays, config.traffics, evaluators);
-        shardBatches(context, config.batchSize, results, &todo,
-                     [&](std::size_t idx) {
-                         resultStore.checkpointSlot(idx, results[idx]);
-                     });
+        shardBatches(context, results, &todo, journal);
     } else {
-        shard(slots, [&](std::size_t idx) {
-            if (!todo[idx])
-                return;
-            const ArrayResult &array =
-                arrays[idx / (config.traffics.size() * nspecs)];
-            const TrafficPattern &traffic =
-                config.traffics[(idx / nspecs) %
-                                config.traffics.size()];
-            results[idx] = evaluate(array, traffic);
-            results[idx].reliability =
-                evaluators[idx % nspecs].evaluate(array);
-            resultStore.checkpointSlot(idx, results[idx]);
-        });
+        shardScalar(arrays, config.traffics, evaluators, results, &todo,
+                    journal);
     }
     resultStore.closeCheckpoint();
     if (owned) {
@@ -426,13 +421,9 @@ ParallelSweepRunner::runStoreBacked(
         for (std::size_t idx = 0; idx < slots; ++idx)
             if (owned(idx))
                 mine.push_back(std::move(results[idx]));
-        resultStore.writeResults(mine);
-        lastStoreStats_ = resultStore.stats();
-        resultStore.writeStats();
-        return mine;
+        results = std::move(mine);
     }
     resultStore.writeResults(results);
-    lastStoreStats_ = resultStore.stats();
     resultStore.writeStats();
     return results;
 }

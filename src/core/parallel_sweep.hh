@@ -91,13 +91,6 @@ class ParallelSweepRunner
     runSelected(const SweepConfig &config,
                 const std::function<bool(std::size_t)> &owned) const;
 
-    /** Store counters from the last characterize()/run() that used a
-     *  result store (zeros otherwise). */
-    const store::StoreStats &lastStoreStats() const
-    {
-        return lastStoreStats_;
-    }
-
     /** Evaluate the full arrays x traffics cross product, array-major
      *  (the order the serial study loops produce), annotated with the
      *  default {ecc: "none"} reliability numbers. */
@@ -154,19 +147,29 @@ class ParallelSweepRunner
                    const std::function<bool(std::size_t)> &owned) const;
 
     /** Shard the context's slots over the workers in contiguous
-     *  batches of `batchSize` (<= 0 picks the context default). todo
-     *  and onSlot pass through to evaluateRange() unchanged. */
-    void shardBatches(const BatchEvalContext &context, int batchSize,
+     *  batches of the context's default size. todo and onSlot pass
+     *  through to evaluateRange() unchanged. */
+    void shardBatches(const BatchEvalContext &context,
                       std::vector<EvalResult> &results,
                       const std::vector<char> *todo,
                       const std::function<void(std::size_t)> &onSlot)
         const;
 
+    /** The per-point body: evaluate every slot of `results` that todo
+     *  selects (all when null), calling onSlot(idx) after each.
+     *  evaluateAllScalar and `"batch": false` store-backed runs share
+     *  it. */
+    void shardScalar(
+        const std::vector<ArrayResult> &arrays,
+        const std::vector<TrafficPattern> &traffics,
+        const std::vector<reliability::ReliabilityEvaluator> &evaluators,
+        std::vector<EvalResult> &results, const std::vector<char> *todo,
+        const std::function<void(std::size_t)> &onSlot) const;
+
     int jobs_;
     /** Lazily-created persistent worker pool; runners are not
      *  thread-safe themselves (one sweep driver per runner). */
     mutable std::unique_ptr<ThreadPool> pool_;
-    mutable store::StoreStats lastStoreStats_;
 };
 
 } // namespace nvmexp

@@ -66,9 +66,8 @@ class BatchEvalContext
     std::size_t points() const { return points_; }
 
     /**
-     * Slots per batched work item when the sweep doesn't pin one
-     * ("batch_size" <= 0): enough batches to keep `jobs` workers
-     * busy, but never splitting below one spec-run so the
+     * Slots per batched work item: enough batches to keep `jobs`
+     * workers busy, but never splitting below one spec-run so the
      * per-(array, traffic) base amortizes. Scheduling only — any
      * batch size produces identical results.
      */

@@ -212,34 +212,5 @@ ConstraintSet::fromJson(const JsonValue &doc, const std::string &context)
     return out;
 }
 
-ConstraintSet
-ConstraintSet::fromLegacy(const Constraints &legacy)
-{
-    ConstraintSet out;
-    if (legacy.maxLatencyLoad > 0.0) {
-        out.add({"latency_load", ConstraintOp::LE,
-                 legacy.maxLatencyLoad});
-    }
-    if (legacy.maxPowerWatts > 0.0)
-        out.add({"total_power", ConstraintOp::LE, legacy.maxPowerWatts});
-    if (legacy.maxAreaM2 > 0.0)
-        out.add({"area_m2", ConstraintOp::LE, legacy.maxAreaM2});
-    if (legacy.minLifetimeSec > 0.0) {
-        out.add({"lifetime_sec", ConstraintOp::GE,
-                 legacy.minLifetimeSec});
-    }
-    if (legacy.maxReadLatency > 0.0)
-        out.add({"read_latency", ConstraintOp::LE, legacy.maxReadLatency});
-    if (legacy.maxWriteLatency > 0.0) {
-        out.add({"write_latency", ConstraintOp::LE,
-                 legacy.maxWriteLatency});
-    }
-    if (legacy.requireBandwidth) {
-        out.add({"meets_read_bw", ConstraintOp::GE, 1.0});
-        out.add({"meets_write_bw", ConstraintOp::GE, 1.0});
-    }
-    return out;
-}
-
 } // namespace metrics
 } // namespace nvmexp

@@ -128,17 +128,10 @@ topSpecFromJson(const JsonValue &doc, const std::string &context)
     spec.metric = doc.at("metric").asString();
     MetricRegistry::instance().require(spec.metric,
                                        context + ": \"top_k\"");
-    if (!doc.at("k").isNumber()) {
-        fatal(context, ": \"top_k\" k must be a positive integer");
-    }
-    double k = doc.at("k").asNumber();
-    // Range-check with floor() before any integer cast: converting an
-    // out-of-size_t-range double is undefined behavior, so the guard
-    // must not perform the conversion it is guarding. 2^53 keeps every
-    // accepted k exactly representable.
-    if (!(k >= 1.0) || k > 9007199254740992.0 || k != std::floor(k)) {
+    std::uint64_t k = 0;
+    if (!doc.at("k").asCount(k) || k < 1) {
         fatal(context, ": \"top_k\" k must be a positive integer, "
-              "got ", JsonValue::formatNumber(k));
+              "got ", doc.at("k").dump(0));
     }
     spec.k = (std::size_t)k;
     return spec;

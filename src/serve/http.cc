@@ -7,10 +7,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <vector>
-
-#include "util/json.hh"
 
 namespace nvmexp {
 namespace serve {
@@ -52,6 +51,17 @@ splitLines(const std::string &block)
         at = eol + 1;
     }
     return lines;
+}
+
+/** Parse `text` as 1*DIGIT (the Content-Length grammar) into `out`:
+ *  no sign, fraction, exponent or padding, and false on overflow
+ *  rather than a wrapped or rounded value. */
+bool
+parseDigits(const std::string &text, std::size_t &out)
+{
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && stop == end;
 }
 
 } // namespace
@@ -114,13 +124,10 @@ HttpRequestParser::finishHeaders(std::size_t headerEnd)
 
     auto cl = request_.headers.find("content-length");
     if (cl != request_.headers.end()) {
-        double declared = 0.0;
-        if (!JsonValue::parseNumber(cl->second, declared) ||
-            declared < 0.0 || declared != (double)(std::size_t)declared) {
+        if (!parseDigits(cl->second, contentLength_)) {
             return fail(ParseState::Bad,
                         "bad Content-Length '" + cl->second + "'");
         }
-        contentLength_ = (std::size_t)declared;
         if (contentLength_ > maxBody_)
             return fail(ParseState::TooLarge, "request body too large");
     }
@@ -246,9 +253,9 @@ parseResponseHead(const std::string &head, HttpClientResult &out,
         error = "malformed status line '" + status + "'";
         return false;
     }
-    double code = 0.0;
+    std::size_t code = 0;
     std::string codeText = status.substr(sp + 1, 3);
-    if (!JsonValue::parseNumber(codeText, code)) {
+    if (!parseDigits(codeText, code)) {
         error = "malformed status code '" + codeText + "'";
         return false;
     }
@@ -414,15 +421,13 @@ HttpClient::exchange(const std::string &method,
             return false;
         }
         auto cl = out.headers.find("content-length");
-        double length = 0.0;
-        if (cl == out.headers.end() ||
-            !JsonValue::parseNumber(cl->second, length) ||
-            length < 0.0) {
+        std::size_t length = 0;
+        if (cl == out.headers.end() || !parseDigits(cl->second, length)) {
             disconnect();
             error = "response carries no usable Content-Length";
             return false;
         }
-        std::size_t want = bodyAt + (std::size_t)length;
+        std::size_t want = bodyAt + length;
         while (response.size() < want) {
             ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
             if (n < 0 && errno == EINTR)
@@ -434,7 +439,7 @@ HttpClient::exchange(const std::string &method,
             }
             response.append(chunk, (std::size_t)n);
         }
-        out.body = response.substr(bodyAt, (std::size_t)length);
+        out.body = response.substr(bodyAt, length);
         carry_ = response.substr(want);
         auto conn = out.headers.find("connection");
         if (conn != out.headers.end() &&

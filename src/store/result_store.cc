@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -34,19 +35,27 @@ StoreStats::toJson() const
 StoreStats
 StoreStats::fromJson(const JsonValue &doc)
 {
-    if ((int)doc.at("format").asNumber() != kFormatVersion) {
+    std::uint64_t format = 0;
+    if (!doc.at("format").asCount(format) || format != kFormatVersion) {
         fatal("store: stats written with format ",
-              doc.at("format").asNumber(), ", this build reads format ",
+              doc.at("format").dump(0), ", this build reads format ",
               kFormatVersion);
     }
+    auto counter = [&](const char *key) {
+        std::uint64_t value = 0;
+        if (!doc.at(key).asCount(value)) {
+            fatal("store: stats \"", key,
+                  "\" must be a non-negative integer, got ",
+                  doc.at(key).dump(0));
+        }
+        return value;
+    };
     StoreStats s;
-    s.cacheHits = (std::uint64_t)doc.at("cache_hits").asNumber();
-    s.cacheMisses = (std::uint64_t)doc.at("cache_misses").asNumber();
-    s.cacheStores = (std::uint64_t)doc.at("cache_stores").asNumber();
-    s.checkpointLoaded =
-        (std::uint64_t)doc.at("checkpoint_loaded").asNumber();
-    s.checkpointComputed =
-        (std::uint64_t)doc.at("checkpoint_computed").asNumber();
+    s.cacheHits = counter("cache_hits");
+    s.cacheMisses = counter("cache_misses");
+    s.cacheStores = counter("cache_stores");
+    s.checkpointLoaded = counter("checkpoint_loaded");
+    s.checkpointComputed = counter("checkpoint_computed");
     return s;
 }
 
@@ -281,13 +290,16 @@ scanCheckpoint(const std::string &dir)
     if (in && std::getline(in, line) &&
         JsonValue::tryParse(line, header)) {
         scan.headerParsed = true;
+        std::uint64_t format = 0, slots = 0;
         scan.headerOk = hasNumber(header, "format") &&
+            header.at("format").asCount(format, INT_MAX) &&
             hasString(header, "fingerprint") &&
-            hasNumber(header, "slots");
+            hasNumber(header, "slots") &&
+            header.at("slots").asCount(slots);
         if (scan.headerOk) {
-            scan.format = (int)header.at("format").asNumber();
+            scan.format = (int)format;
             scan.fingerprint = header.at("fingerprint").asString();
-            scan.slots = (std::size_t)header.at("slots").asNumber();
+            scan.slots = (std::size_t)slots;
         }
     }
     if (!scan.headerOk)
@@ -297,17 +309,19 @@ scanCheckpoint(const std::string &dir)
             continue;
         // The last line of an interrupted run may be torn at any
         // byte; only lines that parse and carry the expected members
-        // are trusted.
+        // (a whole-number slot among them) are trusted.
         JsonValue entry;
+        std::uint64_t slot = 0;
         if (!JsonValue::tryParse(line, entry) ||
-            !hasNumber(entry, "slot") || !hasObject(entry, "result")) {
+            !hasNumber(entry, "slot") ||
+            !entry.at("slot").asCount(slot) ||
+            !hasObject(entry, "result")) {
             warn("result store: skipping torn checkpoint line");
             continue;
         }
-        auto slot = (std::size_t)entry.at("slot").asNumber();
         if (slot < scan.slots) {
             scan.entries.push_back(
-                CheckpointEntry{slot, line, entry.at("result")});
+                CheckpointEntry{(std::size_t)slot, line, entry.at("result")});
         }
     }
     return scan;
@@ -551,10 +565,6 @@ loadStats(const std::string &dir)
 JsonValue
 StoreQuery::toJson() const
 {
-    if (!predicates.empty()) {
-        fatal("store query: programmatic predicates cannot be "
-              "serialized; express them as metric constraints");
-    }
     JsonValue v = JsonValue::makeObject();
     v.set("format", JsonValue::makeNumber(kFormatVersion));
     if (!constraints.empty())
@@ -599,9 +609,11 @@ StoreQuery::fromJson(const JsonValue &doc)
             fatal("store query: \"format\" must be the numeric store "
                   "format version");
         }
-        if ((int)doc.at("format").asNumber() != kFormatVersion) {
+        std::uint64_t format = 0;
+        if (!doc.at("format").asCount(format) ||
+            format != kFormatVersion) {
             fatal("store query: written with format ",
-                  doc.at("format").asNumber(),
+                  doc.at("format").dump(0),
                   ", this build reads format ", kFormatVersion);
         }
     }
@@ -627,21 +639,7 @@ std::vector<EvalResult>
 applyQuery(const std::vector<EvalResult> &results,
            const StoreQuery &query)
 {
-    std::vector<EvalResult> out;
-    out.reserve(results.size());
-    for (const auto &result : results) {
-        if (!query.constraints.satisfied(result))
-            continue;
-        bool keep = true;
-        for (const auto &predicate : query.predicates) {
-            if (!predicate(result)) {
-                keep = false;
-                break;
-            }
-        }
-        if (keep)
-            out.push_back(result);
-    }
+    std::vector<EvalResult> out = query.constraints.filter(results);
     if (!query.paretoMetrics.empty())
         out = metrics::paretoByMetrics(out, query.paretoMetrics,
                                        "store query");

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -222,21 +221,17 @@ StoreStats loadStats(const std::string &dir);
  * Offline "filter and refine": the dashboard interaction (paper
  * Fig. 2) over a persisted store instead of a live sweep.
  *
- * Queries are expressed over the named-metric vocabulary
- * (src/metrics), so everything except the programmatic `predicates`
- * escape hatch serializes losslessly: a query can be written to a
- * store (query.json), read back, and re-applied with identical
- * results. Stages apply in order: constraints -> predicates -> Pareto
- * -> top-k.
+ * Queries are expressed entirely over the named-metric vocabulary
+ * (src/metrics), so every query serializes losslessly: it can be
+ * written to a store (query.json), read back, and re-applied with
+ * identical results. Stages apply in order: constraints -> Pareto ->
+ * top-k.
  */
 struct StoreQuery
 {
     /** Declarative (metric, op, bound) clauses, ANDed; applied
      *  first. */
     metrics::ConstraintSet constraints;
-
-    /** Arbitrary programmatic predicates, ANDed (not serialized). */
-    std::vector<std::function<bool(const EvalResult &)>> predicates;
 
     /** When non-empty, reduce to the N-D Pareto front over these
      *  metric names (direction-folded per the registry). */
@@ -247,8 +242,7 @@ struct StoreQuery
     std::string topMetric;
     std::size_t topK = 0;
 
-    /** Lossless serialization of the declarative parts; fatal if
-     *  `predicates` are present (they cannot be serialized). */
+    /** Lossless serialization (the query.json wire format). */
     JsonValue toJson() const;
     static StoreQuery fromJson(const JsonValue &doc);
 };

@@ -1,5 +1,8 @@
 #include "store/serialize.hh"
 
+#include <climits>
+#include <cstdint>
+
 #include "util/logging.hh"
 
 namespace nvmexp {
@@ -56,7 +59,12 @@ senseModeFromKey(const std::string &name)
 int
 asInt(const JsonValue &doc, const std::string &key)
 {
-    return (int)doc.at(key).asNumber();
+    std::uint64_t value = 0;
+    if (!doc.at(key).asCount(value, INT_MAX)) {
+        fatal("store: \"", key, "\" must be a non-negative integer, "
+              "got ", doc.at(key).dump(0));
+    }
+    return (int)value;
 }
 
 } // namespace
@@ -306,9 +314,10 @@ toJson(const std::vector<EvalResult> &results)
 std::vector<EvalResult>
 evalResultsFromJson(const JsonValue &doc)
 {
-    if ((int)doc.at("format").asNumber() != kFormatVersion) {
+    std::uint64_t format = 0;
+    if (!doc.at("format").asCount(format) || format != kFormatVersion) {
         fatal("store: results written with format ",
-              doc.at("format").asNumber(), ", this build reads format ",
+              doc.at("format").dump(0), ", this build reads format ",
               kFormatVersion);
     }
     std::vector<EvalResult> results;

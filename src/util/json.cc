@@ -1,5 +1,6 @@
 #include "util/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -93,6 +94,18 @@ JsonValue::asNumber() const
     if (!isNumber())
         fatal("JSON: expected a number");
     return number_;
+}
+
+bool
+JsonValue::asCount(std::uint64_t &out, std::uint64_t max) const
+{
+    double limit = (double)std::min(max, kMaxExactInteger);
+    if (!isNumber() || !(number_ >= 0.0) || number_ > limit ||
+        number_ != std::floor(number_)) {
+        return false;
+    }
+    out = (std::uint64_t)number_;
+    return true;
 }
 
 const std::string &

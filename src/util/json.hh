@@ -20,6 +20,7 @@
 #ifndef NVMEXP_UTIL_JSON_HH
 #define NVMEXP_UTIL_JSON_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,6 +63,21 @@ class JsonValue
     double asNumber() const;
     const std::string &asString() const;
     const std::vector<JsonValue> &asArray() const;
+
+    /** Largest integer every double below it represents exactly. */
+    static constexpr std::uint64_t kMaxExactInteger = 1ULL << 53;
+
+    /**
+     * Checked integral read, for every count, index and version a
+     * parsed document carries: true and `out` set iff this is a
+     * number holding a whole value in [0, max]. The range check runs
+     * before the cast, because converting an out-of-range double to an
+     * integer is undefined behavior, and a fraction is refused rather
+     * than truncated, so {"format": 2.5} never reads as format 2.
+     * `max` is capped at kMaxExactInteger.
+     */
+    bool asCount(std::uint64_t &out,
+                 std::uint64_t max = kMaxExactInteger) const;
 
     /** Object access. */
     bool has(const std::string &key) const;

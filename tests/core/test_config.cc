@@ -60,9 +60,8 @@ TEST_F(ConfigTest, LoadsFullSchema)
     EXPECT_EQ(config.sweep.traffics.size(), 2u);
     EXPECT_DOUBLE_EQ(config.sweep.traffics[1].readsPerSec, 2e6);
     EXPECT_TRUE(config.applyConstraints);
-    // The legacy fixed-field object adapts onto declarative clauses:
-    // latency load ceiling, lifetime floor, and the two bandwidth
-    // requirements requireBandwidth implies.
+    // Latency load ceiling, lifetime floor, and both bandwidth
+    // requirements, in declared order.
     ASSERT_EQ(config.constraints.size(), 4u);
     const auto &lifetime = config.constraints.clauses()[1];
     EXPECT_EQ(lifetime.metric, "lifetime_sec");
@@ -335,6 +334,18 @@ TEST_F(ConfigTest, BadConfigsAreFatal)
         "targets": ["FastestEver"],
         "traffic": [{"name": "t", "reads": 1}]
     })")), ::testing::ExitedWithCode(1), "unknown optimization");
+
+    // A typo'd or retired top-level key ("batch_size": the sweep
+    // picks its own batch size) names the config and the key.
+    for (const char *key : {"batch_size", "trafic"}) {
+        EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
+                        std::string(R"("experiment": "typo", ")") + key +
+                        R"(": 4)"))),
+                    ::testing::ExitedWithCode(1),
+                    std::string("config 'typo': unknown top-level key '") +
+                        key + "'")
+            << key;
+    }
 }
 
 TEST_F(ConfigTest, DeclarativeConstraintArrayLoads)
@@ -427,12 +438,20 @@ TEST_F(ConfigTest, RefineKeyErrorPathsAreFatalAtLoadTime)
                     R"("pareto": [])"))),
                 ::testing::ExitedWithCode(1), "at least one metric");
 
-    // "constraints" must be the clause array or the legacy object —
-    // a bare string must not silently load as the default filter.
-    EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
-                    R"("constraints": "total_power<0.5")"))),
-                ::testing::ExitedWithCode(1),
-                "array of clauses or a legacy");
+    // "constraints" must be the clause array: neither a bare string
+    // nor the retired fixed-field object may silently load as some
+    // default filter, and the error names the clause form.
+    for (const char *form : {R"("total_power<0.5")",
+                             R"({"max_latency_load": 1.0,
+                                 "require_bandwidth": true})"}) {
+        EXPECT_EXIT(loadExperiment(JsonValue::parse(minimalConfigJson(
+                        std::string(R"("experiment": "old",
+                                        "constraints": )") + form))),
+                    ::testing::ExitedWithCode(1),
+                    "config 'old': \"constraints\" must be an array "
+                    "of clauses such as \\[\"latency_load<=1.0\"")
+            << form;
+    }
 }
 
 } // namespace

@@ -161,18 +161,14 @@ TEST_F(BatchEquivalenceTest, ShippedConfigsMatchScalarAtAnyJobCount)
     EXPECT_GE(checked, 8u);
 }
 
-/** The batch flag and batch size are invisible to the store: a
- *  sweep's fingerprint (which guards checkpoint replay) must not
- *  depend on either. */
+/** The batch flag is invisible to the store: a sweep's fingerprint
+ *  (which guards checkpoint replay) must not depend on it. */
 TEST_F(BatchEquivalenceTest, FingerprintIgnoresBatchSettings)
 {
     SweepConfig config = reliabilitySweep();
     std::string base = store::sweepFingerprint(config);
     SweepConfig toggled = config;
     toggled.batch = false;
-    EXPECT_EQ(base, store::sweepFingerprint(toggled));
-    toggled.batch = true;
-    toggled.batchSize = 7;
     EXPECT_EQ(base, store::sweepFingerprint(toggled));
 }
 
@@ -238,10 +234,8 @@ TEST_F(BatchEquivalenceTest, RandomizedAxesMatchScalar)
     }
 }
 
-/** Batch size is pure scheduling granularity: every size — including
- *  1, primes that straddle spec runs, the whole sweep, and one past
- *  it — and the per-point path produce byte-identical results.json
- *  and results.csv. */
+/** The batched and the per-point path produce byte-identical
+ *  results.json and results.csv. */
 TEST_F(BatchEquivalenceTest, BatchSizesProduceIdenticalArtifacts)
 {
     SweepConfig config = reliabilitySweep();
@@ -253,21 +247,6 @@ TEST_F(BatchEquivalenceTest, BatchSizesProduceIdenticalArtifacts)
     ASSERT_EQ(reference.size(), 96u);
     std::string goldenJson = readFile(config.outDir + "/results.json");
     std::string goldenCsv = readFile(config.outDir + "/results.csv");
-
-    int slots = (int)reference.size();
-    std::vector<int> sizes = {1, 3, 7, slots, slots + 1};
-    for (int size : sizes) {
-        SweepConfig sized = config;
-        sized.batchSize = size;
-        auto results = runner.run(sized);
-        expectIdentical(results, reference,
-                        "batch_size " + std::to_string(size));
-        EXPECT_EQ(readFile(config.outDir + "/results.json"),
-                  goldenJson)
-            << "batch_size " << size;
-        EXPECT_EQ(readFile(config.outDir + "/results.csv"), goldenCsv)
-            << "batch_size " << size;
-    }
 
     // The "batch": false escape hatch lands on the same bytes.
     SweepConfig scalar = config;
@@ -284,9 +263,8 @@ TEST_F(BatchEquivalenceTest, BatchSizesProduceIdenticalArtifacts)
 TEST_F(BatchEquivalenceTest, MidBatchCheckpointResumeReplaysExactly)
 {
     SweepConfig config = reliabilitySweep();
-    config.jobs = 4;
-    config.batchSize = 5;  // slots 0..4 in one batch; a 3-slot journal
-                           // tears mid-batch
+    config.jobs = 4;  // 6-slot batches: a 3-slot journal tears
+                      // mid-batch
     config.outDir = storeDir("uninterrupted");
     ParallelSweepRunner runner(config.jobs);
     auto fresh = runner.run(config);
@@ -323,7 +301,7 @@ TEST_F(BatchEquivalenceTest, SpecAxisChangeKeepsCharacterizationCached)
     config.outDir = storeDir("specaxis");
     ParallelSweepRunner runner(config.jobs);
     runner.run(config);
-    store::StoreStats cold = runner.lastStoreStats();
+    store::StoreStats cold = store::loadStats(config.outDir);
     EXPECT_EQ(cold.cacheHits, 0u);
     EXPECT_EQ(cold.cacheMisses, 16u);  // 4 cells x 2 caps x 2 targets
 
@@ -335,7 +313,7 @@ TEST_F(BatchEquivalenceTest, SpecAxisChangeKeepsCharacterizationCached)
     config.reliability.push_back(dec);
 
     auto results = runner.run(config);
-    store::StoreStats warm = runner.lastStoreStats();
+    store::StoreStats warm = store::loadStats(config.outDir);
     EXPECT_EQ(warm.cacheMisses, 0u);
     EXPECT_EQ(warm.cacheHits, warm.cacheLookups());
     EXPECT_EQ(warm.cacheHits, 16u);

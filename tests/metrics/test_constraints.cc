@@ -6,7 +6,6 @@
 
 #include "../support/fixtures.hh"
 #include "metrics/constraints.hh"
-#include "util/random.hh"
 
 namespace nvmexp {
 namespace {
@@ -91,6 +90,19 @@ TEST_F(ConstraintsTest, SatisfiedIsVacuouslyTrueWhenEmpty)
               sweepResults().size());
 }
 
+/** A 2 MiB ReadEDP-optimized array of `cell` evaluated under one
+ *  read/write byte-rate traffic pattern. */
+EvalResult
+referenceRow(const MemCell &cell, double readRate, double writeRate)
+{
+    ArrayConfig config;
+    config.capacityBytes = 2.0 * 1024 * 1024;
+    ArrayResult array =
+        ArrayDesigner(cell, config).optimize(OptTarget::ReadEDP);
+    return evaluate(array, TrafficPattern::fromByteRates(
+                               "t", readRate, writeRate, 512));
+}
+
 TEST_F(ConstraintsTest, FilterMatchesPerRowSatisfied)
 {
     ConstraintSet set;
@@ -104,6 +116,53 @@ TEST_F(ConstraintsTest, FilterMatchesPerRowSatisfied)
     EXPECT_EQ(kept.size(), expected);
     EXPECT_LT(kept.size(), sweepResults().size());
     EXPECT_FALSE(kept.empty());
+
+    // Each system budget on both sides of one row's own value: power,
+    // area, lifetime, read/write latency and latency load.
+    CellCatalog catalog;
+    const EvalResult r =
+        referenceRow(catalog.optimistic(CellTech::STT), 2e9, 2e7);
+    struct Case
+    {
+        ConstraintClause clause;
+        bool admits;
+    };
+    const Case cases[] = {
+        {{"total_power", ConstraintOp::LE, r.totalPower / 2.0}, false},
+        {{"total_power", ConstraintOp::LE, r.totalPower * 2.0}, true},
+        {{"total_power", ConstraintOp::LE, 1e-12}, false},
+        {{"area_m2", ConstraintOp::LE, r.array.areaM2 * 0.5}, false},
+        {{"lifetime_sec", ConstraintOp::GE, r.lifetimeSec * 2.0}, false},
+        {{"lifetime_sec", ConstraintOp::GE, r.lifetimeSec / 2.0}, true},
+        {{"read_latency", ConstraintOp::LE, r.array.readLatency / 2.0},
+         false},
+        {{"write_latency", ConstraintOp::LE, r.array.writeLatency / 2.0},
+         false},
+        {{"latency_load", ConstraintOp::LE, r.latencyLoad / 2.0}, false},
+        {{"latency_load", ConstraintOp::LE, 1.0}, true},
+    };
+    for (const auto &c : cases) {
+        ConstraintSet one;
+        one.add(c.clause);
+        EXPECT_EQ(one.satisfied(r), c.admits) << c.clause.text();
+        std::vector<EvalResult> copies = {r, r, r};
+        EXPECT_EQ(one.filter(copies).size(), c.admits ? 3u : 0u)
+            << c.clause.text();
+    }
+
+    // Bandwidth: a slow array under write traffic four times its write
+    // bandwidth fails the requirement and passes once it is dropped.
+    MemCell slowCell = catalog.pessimistic(CellTech::FeFET);
+    double slowWrite =
+        referenceRow(slowCell, 1e9, 0.0).array.writeBandwidth;
+    const EvalResult heavy =
+        referenceRow(slowCell, 1e9, slowWrite * 4.0);
+    ASSERT_FALSE(heavy.meetsWriteBandwidth);
+    ConstraintSet bandwidth;
+    bandwidth.add("meets_read_bw>=1");
+    bandwidth.add("meets_write_bw>=1");
+    EXPECT_FALSE(bandwidth.satisfied(heavy));
+    EXPECT_TRUE(ConstraintSet().satisfied(heavy));
 }
 
 TEST_F(ConstraintsTest, CheapestFirstOrderingNeverChangesTheOutcome)
@@ -124,69 +183,6 @@ TEST_F(ConstraintsTest, CheapestFirstOrderingNeverChangesTheOutcome)
     EXPECT_EQ(derivedFirst.toJson().dump(-1).find("lifetime_years") <
                   derivedFirst.toJson().dump(-1).find("total_power"),
               true);
-}
-
-/** The pre-refactor fixed-field filter, kept verbatim as the
- *  reference the fromLegacy adapter must reproduce exactly. */
-bool
-legacyReferenceSatisfies(const EvalResult &result,
-                         const Constraints &constraints)
-{
-    if (constraints.maxLatencyLoad > 0.0 &&
-        result.latencyLoad > constraints.maxLatencyLoad)
-        return false;
-    if (constraints.maxPowerWatts > 0.0 &&
-        result.totalPower > constraints.maxPowerWatts)
-        return false;
-    if (constraints.maxAreaM2 > 0.0 &&
-        result.array.areaM2 > constraints.maxAreaM2)
-        return false;
-    if (constraints.minLifetimeSec > 0.0 &&
-        result.lifetimeSec < constraints.minLifetimeSec)
-        return false;
-    if (constraints.maxReadLatency > 0.0 &&
-        result.array.readLatency > constraints.maxReadLatency)
-        return false;
-    if (constraints.maxWriteLatency > 0.0 &&
-        result.array.writeLatency > constraints.maxWriteLatency)
-        return false;
-    if (constraints.requireBandwidth &&
-        (!result.meetsReadBandwidth || !result.meetsWriteBandwidth))
-        return false;
-    return true;
-}
-
-TEST_F(ConstraintsTest, FromLegacyReproducesTheFixedFieldFilter)
-{
-    const auto &results = sweepResults();
-    Rng rng(0xC0415);
-    for (int round = 0; round < 50; ++round) {
-        Constraints legacy;
-        legacy.maxLatencyLoad = rng.uniform() < 0.3
-            ? -1.0 : rng.uniform() * 2.0;
-        legacy.maxPowerWatts = rng.uniform() < 0.3
-            ? -1.0 : rng.uniform() * 0.5;
-        legacy.maxAreaM2 = rng.uniform() < 0.5
-            ? -1.0 : rng.uniform() * 1e-5;
-        legacy.minLifetimeSec = rng.uniform() < 0.5
-            ? -1.0 : rng.uniform() * 10.0 * 365.0 * 86400.0;
-        legacy.maxReadLatency = rng.uniform() < 0.5
-            ? -1.0 : rng.uniform() * 100e-9;
-        legacy.maxWriteLatency = rng.uniform() < 0.5
-            ? -1.0 : rng.uniform() * 500e-9;
-        legacy.requireBandwidth = rng.uniform() < 0.5;
-
-        ConstraintSet declarative = ConstraintSet::fromLegacy(legacy);
-        for (const auto &r : results) {
-            EXPECT_EQ(declarative.satisfied(r),
-                      legacyReferenceSatisfies(r, legacy))
-                << "round " << round;
-            // And the production adapter path agrees too.
-            EXPECT_EQ(satisfies(r, legacy),
-                      legacyReferenceSatisfies(r, legacy))
-                << "round " << round;
-        }
-    }
 }
 
 TEST_F(ConstraintsTest, JsonRoundTripIsLossless)

@@ -99,7 +99,10 @@ TEST(HttpParser, RejectsMalformedHeadersAndContentLength)
         EXPECT_NE(parser.error().find("malformed header"),
                   std::string::npos);
     }
-    for (const char *bad : {"abc", "-4", "2.5"}) {
+    // Content-Length is 1*DIGIT: no sign, fraction or exponent, and
+    // no value past SIZE_MAX (2^64 here) wraps or rounds into range.
+    for (const char *bad : {"abc", "-4", "2.5", "1.5e1", "-0", "1e30",
+                            "+1", "18446744073709551616"}) {
         HttpRequestParser parser(1024);
         std::string raw = std::string("POST / HTTP/1.1\r\n"
                                       "Content-Length: ") +

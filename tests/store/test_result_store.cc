@@ -90,13 +90,13 @@ TEST_F(ResultStoreTest, RepeatedSweepHitsCacheForEveryArray)
 
     ParallelSweepRunner runner(config.jobs);
     auto first = runner.characterize(config);
-    store::StoreStats cold = runner.lastStoreStats();
+    store::StoreStats cold = store::loadStats(config.outDir);
     EXPECT_EQ(cold.cacheHits, 0u);
     EXPECT_EQ(cold.cacheMisses, 4u);   // 2 cells x 2 targets
     EXPECT_EQ(cold.cacheStores, 4u);
 
     auto second = runner.characterize(config);
-    store::StoreStats warm = runner.lastStoreStats();
+    store::StoreStats warm = store::loadStats(config.outDir);
     // 100% of arrays served from the characterization cache.
     EXPECT_EQ(warm.cacheMisses, 0u);
     EXPECT_EQ(warm.cacheHits, warm.cacheLookups());
@@ -106,11 +106,6 @@ TEST_F(ResultStoreTest, RepeatedSweepHitsCacheForEveryArray)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_TRUE(store::identical(first[i], second[i])) << i;
-
-    // The same counters are persisted for offline verification.
-    store::StoreStats onDisk = store::loadStats(config.outDir);
-    EXPECT_EQ(onDisk.cacheHits, warm.cacheHits);
-    EXPECT_EQ(onDisk.cacheMisses, 0u);
 }
 
 TEST_F(ResultStoreTest, EnlargedSweepOnlyCharacterizesNewArrays)
@@ -123,7 +118,7 @@ TEST_F(ResultStoreTest, EnlargedSweepOnlyCharacterizesNewArrays)
 
     config.capacitiesBytes.push_back(2.0 * 1024 * 1024);
     runner.characterize(config);
-    store::StoreStats stats = runner.lastStoreStats();
+    store::StoreStats stats = store::loadStats(config.outDir);
     EXPECT_EQ(stats.cacheHits, 4u);    // the original capacity
     EXPECT_EQ(stats.cacheMisses, 4u);  // the added capacity
 }
@@ -148,7 +143,7 @@ TEST_F(ResultStoreTest, CorruptCacheEntryDegradesToMiss)
         << content.substr(0, content.size() / 2);
 
     auto second = runner.characterize(config);
-    store::StoreStats stats = runner.lastStoreStats();
+    store::StoreStats stats = store::loadStats(config.outDir);
     EXPECT_EQ(stats.cacheMisses, 1u);  // recomputed, not fatal
     EXPECT_EQ(stats.cacheHits, 3u);
     // The victim's whole (cell, capacity) pair re-persists: one
@@ -160,7 +155,7 @@ TEST_F(ResultStoreTest, CorruptCacheEntryDegradesToMiss)
 
     // And the rewritten entry serves the next run again.
     runner.characterize(config);
-    EXPECT_EQ(runner.lastStoreStats().cacheMisses, 0u);
+    EXPECT_EQ(store::loadStats(config.outDir).cacheMisses, 0u);
 
     // Brace-balanced but unparseable corruption (a flipped byte) must
     // also degrade to a miss rather than abort the sweep.
@@ -168,9 +163,9 @@ TEST_F(ResultStoreTest, CorruptCacheEntryDegradesToMiss)
     flipped[flipped.find(':')] = ' ';
     std::ofstream(victim, std::ios::trunc) << flipped;
     runner.characterize(config);
-    EXPECT_EQ(runner.lastStoreStats().cacheMisses, 1u);
+    EXPECT_EQ(store::loadStats(config.outDir).cacheMisses, 1u);
     runner.characterize(config);
-    EXPECT_EQ(runner.lastStoreStats().cacheMisses, 0u);
+    EXPECT_EQ(store::loadStats(config.outDir).cacheMisses, 0u);
 }
 
 TEST_F(ResultStoreTest, RunSweepPersistsLoadableResults)
@@ -258,6 +253,32 @@ TEST_F(ResultStoreTest, TornTrailingJournalLineIsSkipped)
     EXPECT_EQ(stats.checkpointComputed, 0u);
 }
 
+TEST_F(ResultStoreTest, NonIntegralJournalSlotIsSkipped)
+{
+    SweepConfig config = smallSweep();
+    config.outDir = storeDir("fractional");
+    runSweep(config);
+
+    // Keep the header and one entry, then append copies of that entry
+    // whose slot is not a whole number in range: 1.5 must not replay
+    // as slot 1, and the others must be refused before any cast.
+    std::string journal = config.outDir + "/checkpoint.jsonl";
+    auto lines = readLines(journal);
+    ASSERT_EQ(lines.size(), 9u);
+    lines.resize(2);
+    const std::string entry = lines[1];
+    std::size_t at = entry.find("\"slot\":") + 7;
+    std::size_t end = entry.find(',', at);
+    for (const char *slot : {"1.5", "1e300", "-1"})
+        lines.push_back(entry.substr(0, at) + slot + entry.substr(end));
+    writeLines(journal, lines);
+
+    store::CheckpointScan scan = store::scanCheckpoint(config.outDir);
+    ASSERT_TRUE(scan.headerOk);
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_EQ(scan.entries[0].line, entry);
+}
+
 TEST_F(ResultStoreTest, CheckpointFromDifferentSweepIsDiscarded)
 {
     SweepConfig config = smallSweep();
@@ -289,16 +310,6 @@ TEST_F(ResultStoreTest, QueryStoreFiltersAndExtractsPareto)
     SweepConfig config = smallSweep();
     config.outDir = storeDir("query");
     auto results = runSweep(config);
-
-    // Predicate: only the "hot" traffic rows.
-    store::StoreQuery query;
-    query.predicates.push_back([](const EvalResult &r) {
-        return r.traffic.name == "hot";
-    });
-    auto hot = store::queryStore(config.outDir, query);
-    EXPECT_EQ(hot.size(), 4u);
-    for (const auto &r : hot)
-        EXPECT_EQ(r.traffic.name, "hot");
 
     // Declarative constraint clauses filter rows.
     store::StoreQuery constrained;
@@ -360,13 +371,6 @@ TEST_F(ResultStoreTest, StoreQuerySerializesLosslessly)
     ASSERT_EQ(direct.size(), viaJson.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_TRUE(store::identical(direct[i], viaJson[i]));
-
-    // Programmatic predicates are the one non-serializable part.
-    store::StoreQuery withPredicate;
-    withPredicate.predicates.push_back(
-        [](const EvalResult &) { return true; });
-    EXPECT_EXIT(withPredicate.toJson(), ::testing::ExitedWithCode(1),
-                "cannot be serialized");
 }
 
 TEST_F(ResultStoreTest, StoreQueryRejectsUnknownKeysFatally)
@@ -383,9 +387,14 @@ TEST_F(ResultStoreTest, StoreQueryRejectsUnknownKeysFatally)
     // Non-object documents and format mismatches are diagnosed too.
     EXPECT_EXIT(store::StoreQuery::fromJson(JsonValue::parse("[]")),
                 ::testing::ExitedWithCode(1), "must be a JSON object");
-    EXPECT_EXIT(store::StoreQuery::fromJson(
-                    JsonValue::parse(R"({"format": 999})")),
-                ::testing::ExitedWithCode(1), "format");
+    // A format must be the exact version: a fraction is not truncated
+    // onto it, and out-of-range values are refused before any cast.
+    for (const char *format : {"999", "2.5", "2.999", "1e300", "-2"}) {
+        EXPECT_EXIT(store::StoreQuery::fromJson(JsonValue::parse(
+                        std::string(R"({"format": )") + format + "}")),
+                    ::testing::ExitedWithCode(1), "written with format")
+            << format;
+    }
 }
 
 TEST_F(ResultStoreTest, TechCsvColumnEscapesLikeEveryOtherIdentity)

@@ -197,14 +197,14 @@ TEST_F(StoreConcurrencyTest, StoreBackedSweepAtJ8MatchesSerial)
         EXPECT_EQ(warm[i].totalPower, reference[i].totalPower) << i;
         EXPECT_EQ(warm[i].latencyLoad, reference[i].latencyLoad) << i;
     }
-    auto stats = runner.lastStoreStats();
+    auto stats = store::loadStats(sweep.outDir);
     EXPECT_EQ(stats.cacheMisses, 0u);
 
     // Resume replay at -j8 over a journal written at -j8.
     sweep.resume = true;
     auto resumed = runner.run(sweep);
     ASSERT_EQ(resumed.size(), reference.size());
-    EXPECT_EQ(runner.lastStoreStats().checkpointLoaded,
+    EXPECT_EQ(store::loadStats(sweep.outDir).checkpointLoaded,
               reference.size());
 }
 

@@ -115,21 +115,30 @@ TEST(ThreadPoolStress, SubmitFromTaskDuringShutdownStillRuns)
 // Pinned regression for the outside-submit hole: once shutdown has
 // begun, a non-worker thread's submit is either accepted (it won the
 // race, so the drain runs it) or refused with `false` — it is never
-// accepted and then silently dropped.
+// accepted and then silently dropped. A blocker task holds the drain
+// (and so the destructor) open until the outsider's submit returns:
+// the call may race the start of shutdown, but never outlives the
+// pool it was made on.
 TEST(ThreadPoolStress, OutsideSubmitDuringShutdownAcceptedOrRefused)
 {
     setQuiet(true);  // the refusal path warns by design
     for (int round = 0; round < 50; ++round) {
         std::atomic<bool> ran{false};
         std::atomic<bool> go{false};
+        std::atomic<bool> submitted{false};
         bool accepted = false;
         std::thread outsider;
         {
             ThreadPool pool(2);
+            pool.submit([&submitted] {
+                while (!submitted.load())
+                    std::this_thread::yield();
+            });
             outsider = std::thread([&] {
                 while (!go.load())
                     std::this_thread::yield();
                 accepted = pool.submit([&ran] { ran = true; });
+                submitted = true;
             });
             go = true;
             // Destructor races the outsider's submit.

@@ -71,25 +71,6 @@ guarded(LintReport &report, const std::string &file,
     }
 }
 
-/** Top-level config keys loadExperiment() consumes. Anything else in
- *  a config is dead weight at best and a typo'd axis at worst —
- *  loadExperiment() silently ignores it, so the lint flags it. */
-const std::set<std::string> &
-knownConfigKeys()
-{
-    static const std::set<std::string> keys = {
-        "experiment",  "cells",       "capacities_mib",
-        "word_bits",   "node_nm",     "sram_node_nm",
-        "jobs",        "out_dir",     "resume",
-        "batch",       "batch_size",  "targets",
-        "traffic",     "workloads",   "workload",
-        "reliability", "ecc",         "constraints",
-        "pareto",      "top_k",       "output_csv",
-        "campaign",
-    };
-    return keys;
-}
-
 std::string
 joined(const std::vector<std::string> &names)
 {

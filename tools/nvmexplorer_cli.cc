@@ -50,7 +50,7 @@ usage()
         "       nvmexplorer_cli campaign run --dir DIR --shard K/N\n"
         "                       [--jobs N]\n"
         "       nvmexplorer_cli campaign launch --dir DIR [--workers N]\n"
-        "                       [--jobs N] [--retries N] [--pin]\n"
+        "                       [--jobs N] [--retries N]\n"
         "       nvmexplorer_cli campaign merge --dir DIR\n"
         "       nvmexplorer_cli campaign status --dir DIR\n"
         "\n"
@@ -108,11 +108,20 @@ usage()
         "processes. `plan` writes DIR/campaign.json and snapshots the\n"
         "config; `run` evaluates one shard (kill-safe: a retry resumes\n"
         "from the shard's journal); `launch` forks one local worker\n"
-        "per shard (--workers bounds concurrency, --pin pins workers\n"
-        "round-robin to CPU sets, crashed shards retry up to --retries\n"
-        "attempts); `merge` validates every shard and splices them\n"
-        "into DIR/merged, byte-identical to a single-process --out\n"
-        "run; `status` prints per-shard progress.\n";
+        "per shard (--workers bounds concurrency, crashed shards retry\n"
+        "up to --retries attempts); `merge` validates every shard and\n"
+        "splices them into DIR/merged, byte-identical to a single-process\n"
+        "--out run; `status` prints per-shard progress.\n";
+}
+
+/** An argument a subcommand does not take: name it, print the usage,
+ *  and exit 2 like the top-level parser. */
+[[noreturn]] void
+usageError(const char *command, const char *argument)
+{
+    std::cerr << command << ": unknown argument '" << argument << "'\n";
+    usage();
+    std::exit(2);
 }
 
 /** `--list-metrics`: the registry is the single source of truth for
@@ -264,8 +273,7 @@ parseStoreCommand(const char *command, int argc, char **argv, int argi,
             out.queryFlagsUsed = true;
             argi += 2;
         } else {
-            fatal(command, ": unknown argument '", argv[argi],
-                  "' (see --help)");
+            usageError(command, argv[argi]);
         }
     }
     if (out.storeDir.empty())
@@ -347,7 +355,6 @@ struct CampaignArgs
     bool jobsSet = false;
     std::size_t workers = 0;     ///< launch: 0 = one per shard
     std::uint64_t retries = 3;   ///< launch: per-shard attempt budget
-    bool pin = false;            ///< launch: pin workers to CPU sets
 };
 
 CampaignArgs
@@ -418,12 +425,8 @@ parseCampaignArgs(const std::string &command, int argc, char **argv,
             out.retries = (std::uint64_t)parseCount(
                 cmd, "--retries", argv[argi + 1], 1, 1000);
             ++argi;
-        } else if (command == "campaign launch" &&
-                   std::strcmp(argv[argi], "--pin") == 0) {
-            out.pin = true;
         } else {
-            fatal(cmd, ": unknown argument '", argv[argi],
-                  "' (see --help)");
+            usageError(cmd, argv[argi]);
         }
     }
     if (out.dir.empty())
@@ -553,7 +556,6 @@ runCampaignCommand(int argc, char **argv, int argi)
         campaign::LaunchOptions options;
         options.workers = args.workers;
         options.maxAttempts = args.retries;
-        options.pinCpus = args.pin;
         if (!campaign::launchCampaign(args.dir, options, worker)) {
             fatal("campaign launch: not all shards completed (see "
                   "warnings above; `campaign status --dir ", args.dir,
