@@ -2,9 +2,14 @@
 
 #include "celldb/tentpole.hh"
 #include "core/sweep.hh"
+#include "metrics/constraints.hh"
 
 namespace nvmexp {
 namespace {
+
+using metrics::ConstraintClause;
+using metrics::ConstraintOp;
+using metrics::ConstraintSet;
 
 EvalResult
 makeResult()
@@ -18,58 +23,62 @@ makeResult()
     return evaluate(array, traffic);
 }
 
+/** A set holding the single clause `metric op bound`. */
+ConstraintSet
+only(const std::string &metric, ConstraintOp op, double bound)
+{
+    ConstraintSet set;
+    set.add(ConstraintClause{metric, op, bound});
+    return set;
+}
+
 TEST(Filters, UnconstrainedPasses)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    EXPECT_TRUE(satisfies(r, c));
+    EXPECT_TRUE(ConstraintSet().satisfied(r));
 }
 
 TEST(Filters, PowerBudget)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    c.maxPowerWatts = r.totalPower / 2.0;
-    EXPECT_FALSE(satisfies(r, c));
-    c.maxPowerWatts = r.totalPower * 2.0;
-    EXPECT_TRUE(satisfies(r, c));
+    EXPECT_FALSE(only("total_power", ConstraintOp::LE, r.totalPower / 2.0)
+                     .satisfied(r));
+    EXPECT_TRUE(only("total_power", ConstraintOp::LE, r.totalPower * 2.0)
+                    .satisfied(r));
 }
 
 TEST(Filters, AreaBudget)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    c.maxAreaM2 = r.array.areaM2 * 0.5;
-    EXPECT_FALSE(satisfies(r, c));
+    EXPECT_FALSE(only("area_m2", ConstraintOp::LE, r.array.areaM2 * 0.5)
+                     .satisfied(r));
 }
 
 TEST(Filters, LifetimeFloor)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    c.minLifetimeSec = r.lifetimeSec * 2.0;
-    EXPECT_FALSE(satisfies(r, c));
-    c.minLifetimeSec = r.lifetimeSec / 2.0;
-    EXPECT_TRUE(satisfies(r, c));
+    EXPECT_FALSE(only("lifetime_sec", ConstraintOp::GE, r.lifetimeSec * 2.0)
+                     .satisfied(r));
+    EXPECT_TRUE(only("lifetime_sec", ConstraintOp::GE, r.lifetimeSec / 2.0)
+                    .satisfied(r));
 }
 
 TEST(Filters, LatencyCeilings)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    c.maxReadLatency = r.array.readLatency / 2.0;
-    EXPECT_FALSE(satisfies(r, c));
-    c = Constraints{};
-    c.maxWriteLatency = r.array.writeLatency / 2.0;
-    EXPECT_FALSE(satisfies(r, c));
+    EXPECT_FALSE(only("read_latency", ConstraintOp::LE,
+                      r.array.readLatency / 2.0)
+                     .satisfied(r));
+    EXPECT_FALSE(only("write_latency", ConstraintOp::LE,
+                      r.array.writeLatency / 2.0)
+                     .satisfied(r));
 }
 
 TEST(Filters, LatencyLoadCeiling)
 {
     EvalResult r = makeResult();
-    Constraints c;
-    c.maxLatencyLoad = r.latencyLoad / 2.0;
-    EXPECT_FALSE(satisfies(r, c));
+    EXPECT_FALSE(only("latency_load", ConstraintOp::LE, r.latencyLoad / 2.0)
+                     .satisfied(r));
 }
 
 TEST(Filters, BandwidthRequirementToggle)
@@ -84,22 +93,21 @@ TEST(Filters, BandwidthRequirementToggle)
         "w", 1e9, slow.writeBandwidth * 4.0, 512);
     EvalResult r = evaluate(slow, heavy);
     ASSERT_FALSE(r.meetsWriteBandwidth);
-    Constraints c;
-    c.maxLatencyLoad = -1.0;  // disable the load ceiling
-    EXPECT_FALSE(satisfies(r, c));
-    c.requireBandwidth = false;
-    EXPECT_TRUE(satisfies(r, c));
+    ConstraintSet bandwidth;
+    bandwidth.add("meets_read_bw>=1");
+    bandwidth.add("meets_write_bw>=1");
+    EXPECT_FALSE(bandwidth.satisfied(r));
+    EXPECT_TRUE(ConstraintSet().satisfied(r));
 }
 
 TEST(Filters, FilterResultsKeepsOrder)
 {
     EvalResult r = makeResult();
     std::vector<EvalResult> all = {r, r, r};
-    Constraints none;
-    EXPECT_EQ(filterResults(all, none).size(), 3u);
-    Constraints impossible;
-    impossible.maxPowerWatts = 1e-12;
-    EXPECT_TRUE(filterResults(all, impossible).empty());
+    EXPECT_EQ(ConstraintSet().filter(all).size(), 3u);
+    EXPECT_TRUE(only("total_power", ConstraintOp::LE, 1e-12)
+                    .filter(all)
+                    .empty());
 }
 
 } // namespace

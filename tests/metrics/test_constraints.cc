@@ -90,19 +90,6 @@ TEST_F(ConstraintsTest, SatisfiedIsVacuouslyTrueWhenEmpty)
               sweepResults().size());
 }
 
-/** A 2 MiB ReadEDP-optimized array of `cell` evaluated under one
- *  read/write byte-rate traffic pattern. */
-EvalResult
-referenceRow(const MemCell &cell, double readRate, double writeRate)
-{
-    ArrayConfig config;
-    config.capacityBytes = 2.0 * 1024 * 1024;
-    ArrayResult array =
-        ArrayDesigner(cell, config).optimize(OptTarget::ReadEDP);
-    return evaluate(array, TrafficPattern::fromByteRates(
-                               "t", readRate, writeRate, 512));
-}
-
 TEST_F(ConstraintsTest, FilterMatchesPerRowSatisfied)
 {
     ConstraintSet set;
@@ -116,53 +103,6 @@ TEST_F(ConstraintsTest, FilterMatchesPerRowSatisfied)
     EXPECT_EQ(kept.size(), expected);
     EXPECT_LT(kept.size(), sweepResults().size());
     EXPECT_FALSE(kept.empty());
-
-    // Each system budget on both sides of one row's own value: power,
-    // area, lifetime, read/write latency and latency load.
-    CellCatalog catalog;
-    const EvalResult r =
-        referenceRow(catalog.optimistic(CellTech::STT), 2e9, 2e7);
-    struct Case
-    {
-        ConstraintClause clause;
-        bool admits;
-    };
-    const Case cases[] = {
-        {{"total_power", ConstraintOp::LE, r.totalPower / 2.0}, false},
-        {{"total_power", ConstraintOp::LE, r.totalPower * 2.0}, true},
-        {{"total_power", ConstraintOp::LE, 1e-12}, false},
-        {{"area_m2", ConstraintOp::LE, r.array.areaM2 * 0.5}, false},
-        {{"lifetime_sec", ConstraintOp::GE, r.lifetimeSec * 2.0}, false},
-        {{"lifetime_sec", ConstraintOp::GE, r.lifetimeSec / 2.0}, true},
-        {{"read_latency", ConstraintOp::LE, r.array.readLatency / 2.0},
-         false},
-        {{"write_latency", ConstraintOp::LE, r.array.writeLatency / 2.0},
-         false},
-        {{"latency_load", ConstraintOp::LE, r.latencyLoad / 2.0}, false},
-        {{"latency_load", ConstraintOp::LE, 1.0}, true},
-    };
-    for (const auto &c : cases) {
-        ConstraintSet one;
-        one.add(c.clause);
-        EXPECT_EQ(one.satisfied(r), c.admits) << c.clause.text();
-        std::vector<EvalResult> copies = {r, r, r};
-        EXPECT_EQ(one.filter(copies).size(), c.admits ? 3u : 0u)
-            << c.clause.text();
-    }
-
-    // Bandwidth: a slow array under write traffic four times its write
-    // bandwidth fails the requirement and passes once it is dropped.
-    MemCell slowCell = catalog.pessimistic(CellTech::FeFET);
-    double slowWrite =
-        referenceRow(slowCell, 1e9, 0.0).array.writeBandwidth;
-    const EvalResult heavy =
-        referenceRow(slowCell, 1e9, slowWrite * 4.0);
-    ASSERT_FALSE(heavy.meetsWriteBandwidth);
-    ConstraintSet bandwidth;
-    bandwidth.add("meets_read_bw>=1");
-    bandwidth.add("meets_write_bw>=1");
-    EXPECT_FALSE(bandwidth.satisfied(heavy));
-    EXPECT_TRUE(ConstraintSet().satisfied(heavy));
 }
 
 TEST_F(ConstraintsTest, CheapestFirstOrderingNeverChangesTheOutcome)
